@@ -3,12 +3,12 @@
 #include <cmath>
 
 #include "amg/solve.hpp"
+#include "harness/engine_setup.hpp"
 
 namespace harness {
 
 using simmpi::Context;
 using simmpi::Engine;
-using simmpi::Machine;
 using simmpi::Task;
 namespace coll = simmpi::coll;
 
@@ -53,8 +53,8 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
   if (static_cast<long>(b_global.size()) != dh.levels[0].n())
     throw simmpi::SimError("run_distributed_amg: rhs size mismatch");
 
-  Engine eng(Machine::with_region_size(p, cfg.ranks_per_region), cfg.cost,
-             Engine::Options{.threads = cfg.threads});
+  detail::reject_faults(cfg, "run_distributed_amg");
+  Engine eng(detail::machine_for(p, cfg), cfg.cost, detail::engine_opts(cfg));
   DistSolveResult result;
   std::vector<std::vector<double>> x_parts(p);
   std::vector<double> elapsed(p, 0.0);

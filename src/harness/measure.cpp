@@ -5,7 +5,7 @@
 #include <cmath>
 #include <optional>
 
-#include "harness/hierarchy_cache.hpp"
+#include "harness/engine_setup.hpp"
 #include "sparse/stencil.hpp"
 
 namespace harness {
@@ -15,10 +15,7 @@ using simmpi::Engine;
 using simmpi::Machine;
 using simmpi::Task;
 
-namespace {
-
-/// Deterministic test value for global row id `g`.
-double x_value(long g) { return 0.5 * static_cast<double>(g) + 1.0; }
+namespace detail {
 
 Machine machine_for(int nranks, const MeasureConfig& cfg) {
   if (cfg.regions_per_node <= 1) {
@@ -43,6 +40,28 @@ Machine machine_for(int nranks, const MeasureConfig& cfg) {
 Engine::Options engine_opts(const MeasureConfig& cfg) {
   return Engine::Options{.threads = cfg.threads};
 }
+
+void reject_faults(const MeasureConfig& cfg, const char* who) {
+  const char* field = nullptr;
+  if (cfg.faults)
+    field = "MeasureConfig::faults";
+  else if (cfg.reliability.enabled)
+    field = "MeasureConfig::reliability";
+  if (field)
+    throw simmpi::SimError(std::string(who) + ": " + field +
+                           " is honoured only by measure_pattern and "
+                           "measure_pattern_dense");
+}
+
+}  // namespace detail
+
+using detail::engine_opts;
+using detail::machine_for;
+
+namespace {
+
+/// Deterministic test value for global row id `g`.
+double x_value(long g) { return 0.5 * static_cast<double>(g) + 1.0; }
 
 /// Deterministic payload byte for the dense alltoall: byte `b` of value
 /// `k` of the (src -> dst) segment.
@@ -291,6 +310,7 @@ DenseMeasurement measure_dense_alltoall(int nranks, int count,
                                         std::size_t element_size,
                                         mpix::AlltoallMethod method,
                                         const MeasureConfig& cfg) {
+  detail::reject_faults(cfg, "measure_dense_alltoall");
   const int p = nranks;
   Engine eng(machine_for(p, cfg), cfg.cost, engine_opts(cfg));
   std::vector<double> init_elapsed(p, 0.0), iter_elapsed(p, 0.0);
@@ -368,6 +388,7 @@ DenseMeasurement measure_dense_alltoall(int nranks, int count,
 std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
                                                Protocol protocol,
                                                const MeasureConfig& cfg) {
+  detail::reject_faults(cfg, "measure_protocol");
   const int p = dh.nranks;
   const int nlevels = dh.num_levels();
   Engine eng(machine_for(p, cfg), cfg.cost, engine_opts(cfg));
@@ -466,6 +487,7 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
 double measure_graph_creation(const amg::DistHierarchy& dh,
                               simmpi::GraphAlgo algo,
                               const MeasureConfig& cfg) {
+  detail::reject_faults(cfg, "measure_graph_creation");
   const int p = dh.nranks;
   Engine eng(machine_for(p, cfg), cfg.cost, engine_opts(cfg));
   std::vector<double> elapsed(p, 0.0);
@@ -529,21 +551,8 @@ const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks,
   static int cached_ranks = -1;
   static std::optional<amg::DistHierarchy> cached;
   if (cached_rows != rows || cached_ranks != nranks) {
-    // Thin lookup: the process memo misses, so consult the cross-process
-    // disk cache before paying for coarsening + distribution.  A disk hit
-    // skips the canonical paper_hierarchy build entirely.  The key ignores
-    // Options::threads: every width builds identical bytes.
-    const HierarchyCache::Key key{rows, nranks, amg::Options{}};
-    HierarchyCache* disk = HierarchyCache::global();
-    std::optional<amg::DistHierarchy> loaded;
-    if (disk) loaded = disk->load(key);
-    if (loaded) {
-      cached = std::move(loaded);
-    } else {
-      cached.emplace(amg::distribute_hierarchy(
-          paper_hierarchy(rows, build_threads), nranks));
-      if (disk) disk->store(key, *cached);
-    }
+    cached.emplace(amg::distribute_hierarchy(
+        paper_hierarchy(rows, build_threads), nranks));
     cached_rows = rows;
     cached_ranks = nranks;
   }

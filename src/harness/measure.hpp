@@ -9,11 +9,10 @@
 /// so a single simulated execution is exact; reported times are the
 /// maximum rank-local elapsed virtual time.
 ///
-/// Two caches amortize repeated runs: `MeasureConfig::plans` (locality
-/// setup per halo pattern, see harness::PlanCache) and the process/disk
-/// `paper_dist_hierarchy` memoization backed by harness::HierarchyCache,
-/// which spares every bench binary after the first from re-running the
-/// paper problem's coarsening.
+/// Two memos amortize repeated runs: `MeasureConfig::plans` (locality
+/// setup per halo pattern, see harness::PlanCache) and the single-entry
+/// in-process `paper_hierarchy` / `paper_dist_hierarchy` memos, which let
+/// the measurements of one binary share a built hierarchy.
 
 #include <vector>
 
@@ -78,11 +77,16 @@ struct MeasureConfig {
   /// byte-inert fault-free hot path, so series without a plan are
   /// bit-identical to builds that predate fault injection.  The pattern
   /// runners' sync_reset brackets rewind rank clocks, so time windows in
-  /// the plan apply within each measured window.
+  /// the plan apply within each measured window.  Honoured only by
+  /// measure_pattern{,_dense}; measure_protocol, measure_graph_creation,
+  /// measure_dense_alltoall and run_distributed_amg throw a SimError
+  /// naming this field when it is set.
   const simmpi::FaultPlan* faults = nullptr;
-  /// Reliable-delivery knobs forwarded to every collective the runners
-  /// initialize (mpix::Options::reliability).  Off by default; required
-  /// for completion when `faults` drops messages.
+  /// Reliable-delivery knobs forwarded to every collective the pattern
+  /// runners initialize (mpix::Options::reliability).  Off by default;
+  /// required for completion when `faults` drops messages.  Honoured only
+  /// by measure_pattern{,_dense}; the other runners throw a SimError
+  /// naming this field when `enabled` is true.
   mpix::Reliability reliability{};
 };
 
@@ -188,13 +192,15 @@ double total_time(const std::vector<LevelMeasurement>& self,
 int crossover_iterations(double base_init, double base_iter, double opt_init,
                          double opt_iter, int max_iters = 100000);
 
-/// Build (and memoize per (rows, options)) the canonical hierarchy of the
-/// paper's rotated anisotropic diffusion problem with `rows` unknowns.
+/// Build the canonical hierarchy of the paper's rotated anisotropic
+/// diffusion problem with `rows` unknowns, memoized for the last `rows`.
 /// `build_threads` sets the construction width (0 = auto, see
 /// MeasureConfig::build_threads); it never changes the built hierarchy.
 const amg::Hierarchy& paper_hierarchy(long rows, int build_threads = 0);
 
-/// Memoized distribution of the paper hierarchy over `nranks`.
+/// Distribution of the paper hierarchy over `nranks`, memoized for the
+/// last (rows, nranks) asked for; a miss distributes
+/// `paper_hierarchy(rows, build_threads)`.
 const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks,
                                                int build_threads = 0);
 

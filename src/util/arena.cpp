@@ -112,9 +112,10 @@ Reservoir& reservoir() {
 }
 
 /// Per-thread cache.  Hot path is a push/pop on a singly-linked list; the
-/// reservoir is touched only on a miss, on overflow past kCacheCap (half
-/// the list is flushed), and at thread exit (everything is drained, so
-/// blocks survive the per-run worker threads of the engine's pool).
+/// reservoir is touched only on a miss (at most half a cache is refilled),
+/// on overflow past kCacheCap (half the list is flushed), and at thread
+/// exit (everything is drained, so blocks survive the per-run worker
+/// threads of the engine's pool).
 struct ThreadCache {
   static constexpr int kCacheCap = 64;
   FreeNode* head[kNumBuckets] = {};
@@ -140,17 +141,21 @@ struct ThreadCache {
       --count[b];
       return n;
     }
-    // Miss: refill from the reservoir (grab the whole list — blocks drift
-    // between threads, the cap below bounds any one cache).
+    // Miss: refill at most half a cache from the reservoir.  Taking the
+    // whole list would let one of the engine's per-run workers hoard every
+    // pooled block while its siblings allocate afresh, and their exit
+    // drains would grow the pool on every run.
     Reservoir& r = reservoir();
     {
       MutexLock lk(r.mu);
-      head[b] = r.head[b];
-      r.head[b] = nullptr;
+      while (r.head[b] && count[b] < kCacheCap / 2) {
+        FreeNode* n = r.head[b];
+        r.head[b] = n->next;
+        n->next = head[b];
+        head[b] = n;
+        ++count[b];
+      }
     }
-    int got = 0;
-    for (FreeNode* n = head[b]; n; n = n->next) ++got;
-    count[b] = got;
     if (head[b]) {
       FreeNode* n = head[b];
       head[b] = n->next;

@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <deque>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -146,6 +147,37 @@ TEST(FramePool, BlocksSurviveThreadExit) {
   EXPECT_EQ(util::frame_pool_mallocs(), mallocs)
       << "reservoir refill, not malloc";
   util::frame_free(p, kSize);
+}
+
+TEST(FramePool, PerRunWorkerThreadsDoNotGrowThePool) {
+  // The engine starts fresh worker threads on every run.  Each round here
+  // does the same: 4 new threads each hold 500 frames at once, free them,
+  // and exit (draining their caches to the reservoir).  Once round 1 has
+  // sized the pool, later rounds must be served from it; a refill that
+  // hands one thread the whole reservoir makes the others malloc anew,
+  // and the pool grows by their working set every round.
+  constexpr std::size_t kSize = 256;
+  constexpr int kThreads = 4;
+  constexpr int kFrames = 500;
+  constexpr int kRounds = 8;
+  std::vector<std::uint64_t> mallocs;
+  for (int round = 0; round < kRounds; ++round) {
+    std::latch all_allocated(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&] {
+        std::vector<void*> frames;
+        for (int i = 0; i < kFrames; ++i)
+          frames.push_back(util::frame_alloc(kSize));
+        all_allocated.arrive_and_wait();
+        for (void* p : frames) util::frame_free(p, kSize);
+      });
+    for (auto& th : threads) th.join();
+    mallocs.push_back(util::frame_pool_mallocs());
+  }
+  EXPECT_LT(mallocs[7] - mallocs[1], 500u)
+      << "pool grew from " << mallocs[1] << " to " << mallocs[7]
+      << " blocks over rounds 1..7";
 }
 
 TEST(FramePool, OversizedFallsBackToPlainNew) {

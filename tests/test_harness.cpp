@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "amg/solve.hpp"
 #include "harness/dist_solve.hpp"
 #include "harness/measure.hpp"
 #include "model/perf_model.hpp"
+#include "simmpi/fault.hpp"
 #include "sparse/stencil.hpp"
 
 using namespace harness;
@@ -248,4 +250,54 @@ TEST(DistSolve, AllProtocolsProduceSameIterates) {
     for (std::size_t i = 0; i < res.solution.size(); ++i)
       EXPECT_DOUBLE_EQ(res.solution[i], ref.solution[i]) << to_string(p);
   }
+}
+
+namespace {
+
+/// Message of the SimError `fn` throws; fails the test if it throws none.
+template <class Fn>
+std::string sim_error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a SimError";
+  return {};
+}
+
+}  // namespace
+
+TEST(DistSolve, BuildsTheMachineOfEveryOtherRunner) {
+  const amg::DistHierarchy dh = small_dist(8, 16, 16);
+  const std::vector<double> b(dh.levels[0].n(), 1.0);
+  MeasureConfig cfg = small_cfg();
+  cfg.regions_per_node = 3;  // 8 ranks do not fill whole 3 x 4 nodes
+  const std::string msg = sim_error_of(
+      [&] { run_distributed_amg(dh, Protocol::hypre, b, 1e-8, 4, cfg); });
+  EXPECT_NE(msg.find("regions_per_node"), std::string::npos) << msg;
+}
+
+TEST(DistSolve, FaultsAreRejectedOutsideThePatternRunners) {
+  const amg::DistHierarchy dh = small_dist(8, 16, 16);
+  const std::vector<double> b(dh.levels[0].n(), 1.0);
+  FaultPlan plan;
+  plan.events.push_back({.kind = FaultSpec::Kind::msg_drop, .rate = 0.05});
+  MeasureConfig cfg = small_cfg();
+  cfg.faults = &plan;
+  const std::string solve = sim_error_of(
+      [&] { run_distributed_amg(dh, Protocol::hypre, b, 1e-8, 4, cfg); });
+  EXPECT_NE(solve.find("run_distributed_amg"), std::string::npos) << solve;
+  EXPECT_NE(solve.find("MeasureConfig::faults"), std::string::npos) << solve;
+  const std::string measure = sim_error_of(
+      [&] { measure_protocol(dh, Protocol::neighbor_full, cfg); });
+  EXPECT_NE(measure.find("measure_protocol"), std::string::npos) << measure;
+  EXPECT_NE(measure.find("MeasureConfig::faults"), std::string::npos)
+      << measure;
+
+  cfg.faults = nullptr;
+  cfg.reliability.enabled = true;
+  const std::string rel = sim_error_of(
+      [&] { measure_protocol(dh, Protocol::neighbor_full, cfg); });
+  EXPECT_NE(rel.find("MeasureConfig::reliability"), std::string::npos) << rel;
 }

@@ -2,15 +2,14 @@
 /// \brief The determinism contract of the two-phase sparse kernels and of
 /// hierarchy construction: every `sparse::Threads` width produces
 /// byte-identical output — rowptr/colind/vals of each kernel, deep-equal
-/// hierarchies, and identical HierarchyCache files (see
+/// hierarchies, and byte-identical distributed hierarchies (see
 /// docs/ARCHITECTURE.md, "Parallel construction").
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "amg/coarsen.hpp"
@@ -18,17 +17,23 @@
 #include "amg/hierarchy.hpp"
 #include "amg/interp.hpp"
 #include "amg/strength.hpp"
-#include "harness/hierarchy_cache.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/stencil.hpp"
 
-namespace fs = std::filesystem;
 using sparse::Csr;
 using sparse::Threads;
 
 namespace {
 
 constexpr int kWidths[] = {2, 4, 7};
+
+/// Byte equality of two arrays; empty ones (possibly null) compare equal
+/// without reaching memcmp.
+template <class T>
+bool same_bytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
 
 /// Byte-level equality of the three CSR arrays (EXPECT_EQ on Csr would
 /// also pass for equal values that were re-derived; memcmp pins the exact
@@ -38,17 +43,11 @@ void expect_bytes_identical(const Csr& a, const Csr& b, const char* what,
   ASSERT_EQ(a.rows(), b.rows()) << what << " width " << width;
   ASSERT_EQ(a.cols(), b.cols()) << what << " width " << width;
   ASSERT_EQ(a.nnz(), b.nnz()) << what << " width " << width;
-  EXPECT_EQ(std::memcmp(a.rowptr().data(), b.rowptr().data(),
-                        a.rowptr().size_bytes()),
-            0)
+  EXPECT_TRUE(same_bytes(a.rowptr(), b.rowptr()))
       << what << ": rowptr bytes diverged at width " << width;
-  EXPECT_EQ(std::memcmp(a.colind().data(), b.colind().data(),
-                        a.colind().size_bytes()),
-            0)
+  EXPECT_TRUE(same_bytes(a.colind(), b.colind()))
       << what << ": colind bytes diverged at width " << width;
-  EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
-                        a.values().size_bytes()),
-            0)
+  EXPECT_TRUE(same_bytes(a.values(), b.values()))
       << what << ": vals bytes diverged at width " << width;
 }
 
@@ -143,34 +142,49 @@ TEST(SparseThreads, HierarchyBuildDeepEqualAcrossWidths) {
   }
 }
 
-TEST(SparseThreads, HierarchyCacheFilesIdenticalAcrossWidths) {
-  // The strongest end-to-end form of the contract: build + distribute +
-  // serialize at every width and compare the cache files byte-for-byte
-  // (the stored payload checksum is part of the file, so matching files
-  // imply matching checksums).
+TEST(SparseThreads, DistHierarchyBytesIdenticalAcrossWidths) {
+  // The strongest end-to-end form of the contract: build + distribute at
+  // every width and pin the exact bytes of every rank's CSR slices, plus
+  // deep equality of everything else the distribution produces.
   const Csr a = sparse::paper_problem(32, 16);
-  const harness::HierarchyCache::Key key{a.rows(), 4, amg::Options{}};
-  auto file_bytes = [&](int width) {
+  auto build = [&](int width) {
     amg::Options opts;
     opts.threads = width;
-    const amg::DistHierarchy dh =
-        amg::distribute_hierarchy(amg::Hierarchy::build(a, opts), 4);
-    const fs::path dir = fs::temp_directory_path() /
-                         ("sparse-threads-cache-" + std::to_string(::getpid()) +
-                          "-w" + std::to_string(width));
-    fs::create_directories(dir);
-    harness::HierarchyCache cache(dir);
-    EXPECT_TRUE(cache.store(key, dh));
-    std::ifstream in(cache.path_of(key), std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    return bytes;
+    return amg::distribute_hierarchy(amg::Hierarchy::build(a, opts), 4);
   };
-  const std::vector<char> base = file_bytes(1);
-  ASSERT_FALSE(base.empty());
-  for (int w : kWidths)
-    EXPECT_EQ(file_bytes(w), base)
-        << "cache file (checksummed payload) diverged at width " << w;
+  const amg::DistHierarchy base = build(1);
+  ASSERT_GE(base.num_levels(), 2) << "problem too small to exercise levels";
+  for (int w : kWidths) {
+    const amg::DistHierarchy dh = build(w);
+    ASSERT_EQ(dh.nranks, base.nranks);
+    ASSERT_EQ(dh.num_levels(), base.num_levels()) << "width " << w;
+    for (int l = 0; l < base.num_levels(); ++l) {
+      const amg::DistLevel& got = dh.levels[l];
+      const amg::DistLevel& want = base.levels[l];
+      const std::pair<const sparse::ParCsr*, const sparse::ParCsr*> ops[] = {
+          {&got.A, &want.A}, {&got.P, &want.P}, {&got.R, &want.R}};
+      for (const auto& [g, e] : ops) {
+        EXPECT_EQ(g->global_rows, e->global_rows) << "level " << l;
+        EXPECT_EQ(g->global_cols, e->global_cols) << "level " << l;
+        EXPECT_EQ(g->row_part, e->row_part) << "level " << l << " width " << w;
+        EXPECT_EQ(g->col_part, e->col_part) << "level " << l << " width " << w;
+        ASSERT_EQ(g->num_ranks(), e->num_ranks()) << "level " << l;
+        for (int r = 0; r < e->num_ranks(); ++r) {
+          const sparse::ParCsrRank& gr = g->ranks[r];
+          const sparse::ParCsrRank& er = e->ranks[r];
+          expect_bytes_identical(er.diag, gr.diag, "diag", w);
+          expect_bytes_identical(er.offd, gr.offd, "offd", w);
+          EXPECT_EQ(gr.first_row, er.first_row) << "level " << l;
+          EXPECT_EQ(gr.first_col, er.first_col) << "level " << l;
+          EXPECT_EQ(gr.col_map_offd, er.col_map_offd)
+              << "level " << l << " rank " << r << " width " << w;
+        }
+      }
+      EXPECT_EQ(got.halo, want.halo) << "level " << l << " width " << w;
+      EXPECT_EQ(got.halo_P, want.halo_P) << "level " << l << " width " << w;
+      EXPECT_EQ(got.halo_R, want.halo_R) << "level " << l << " width " << w;
+      EXPECT_EQ(got.perm, want.perm) << "level " << l << " width " << w;
+    }
+    EXPECT_EQ(dh, base) << "distributed hierarchy diverged at width " << w;
+  }
 }
